@@ -399,12 +399,12 @@ class CampaignRunner:
         # the study's event cap is a backstop against runaway applications
         # that generate unbounded numbers of events within the timeout.
         # Hitting the cap means the run is truncated mid-flight, so it is
-        # recorded as aborted rather than returned as (half-run) data.
-        processed = 0
-        while not context.experiment_complete and processed < study.max_events:
-            if not environment.kernel.step():
-                break
-            processed += 1
+        # recorded as aborted rather than returned as (half-run) data.  The
+        # context stops the kernel the moment the experiment completes.
+        kernel = environment.kernel
+        before = kernel.events_processed
+        kernel.run(max_events=study.max_events)
+        processed = kernel.events_processed - before
         if not context.experiment_complete and processed >= study.max_events:
             context.mark_aborted(f"event cap reached ({study.max_events} events)")
 

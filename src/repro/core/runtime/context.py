@@ -234,10 +234,18 @@ class ExperimentContext:
 
     def mark_complete(self) -> None:
         """Flag the experiment as complete (set by the central daemon)."""
-        self.experiment_complete = True
+        self._complete()
 
     def mark_aborted(self, reason: str) -> None:
         """Flag the experiment as aborted (timeout or daemon failure)."""
         self.experiment_aborted = True
         self.abort_reason = reason
-        self.experiment_complete = True
+        self._complete()
+
+    def _complete(self) -> None:
+        # The experiment ends when it first completes: stop the kernel run
+        # driving it then, and only then (later marks, e.g. a daemon crash
+        # during the post-experiment sync phase, must not cut that phase).
+        if not self.experiment_complete:
+            self.experiment_complete = True
+            self.environment.kernel.request_stop()

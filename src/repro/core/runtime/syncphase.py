@@ -30,17 +30,10 @@ class SyncPhaseConfig:
         the reference host and every other host.
     interval:
         Spacing between successive message pairs, in seconds.
-    dedicated_receiver:
-        When true (the default), the receiving timestamp process is assumed
-        to be blocked waiting for the message and wakes up after only a
-        context switch, as the paper's ``getstamps`` tool does; when false,
-        the full OS scheduling delay of a busy host is charged, which
-        widens the resulting clock bounds considerably.
     """
 
     messages_per_phase: int = 25
     interval: float = 0.001
-    dedicated_receiver: bool = True
 
 
 def run_sync_phase(
@@ -51,45 +44,49 @@ def run_sync_phase(
 ) -> list[SyncMessageRecord]:
     """Exchange synchronization messages and return the timestamp records.
 
-    The exchange is simulated directly on the network/host models (no Loki
-    processes are involved): each message records the sender's clock at
-    transmission and the receiver's clock at reception, after the sampled
-    LAN delay plus the receiver's OS scheduling delay — exactly the
-    quantities a real ``getstamps`` run would log.
+    Each message records the sender's clock at transmission and the
+    receiver's clock at reception, after the sampled LAN delay plus the
+    receiver's context-switch cost — the receiving timestamp process is
+    blocked waiting for the message, as the paper's ``getstamps`` tool is
+    — exactly the quantities a real ``getstamps`` run would log.
+
+    No Loki or application process takes part, and a record depends only
+    on its send time, the ``"sync-phase"`` stream and the host clocks, so
+    the exchange is computed in closed form rather than stepped through
+    the event kernel: sends are visited in kernel order (time, then
+    schedule order), each draws one delay in that order, and records are
+    returned in kernel order of their receptions (arrival time, then send
+    order).  Only receptions the phase's time horizon covers are recorded.
+    The kernel then runs to the end of the phase, so events the
+    experiment left behind still execute within it.
     """
     config = config or SyncPhaseConfig()
-    records: list[SyncMessageRecord] = []
-    kernel = environment.kernel
-    lan = environment.lan_profile
+    sample_delay = environment.lan_profile.sample_delay
     rng = environment.streams.stream("sync-phase")
-
-    def exchange(sender: str, receiver: str) -> None:
-        send_clock = environment.read_clock(sender)
-        receiver_host = environment.host(receiver)
-        if config.dedicated_receiver:
-            wakeup = receiver_host.scheduler.context_switch_cost
-        else:
-            wakeup = receiver_host.scheduling_delay()
-        delay = lan.sample_delay(rng) + wakeup
-        kernel.schedule(delay, record_reception, sender, receiver, send_clock)
-
-    def record_reception(sender: str, receiver: str, send_clock: float) -> None:
-        records.append(
-            SyncMessageRecord(
-                sender=sender,
-                receiver=receiver,
-                send_time=send_clock,
-                receive_time=environment.read_clock(receiver),
-            )
-        )
+    start = environment.kernel.now
+    interval = config.interval
+    phase_end = start + config.messages_per_phase * interval + 0.010
+    clocks = {host: environment.host(host).clock.read for host in hosts}
+    wakeups = {host: environment.host(host).scheduler.context_switch_cost for host in hosts}
 
     others = [host for host in hosts if host != reference]
+    sends: list[tuple[float, int, str, str]] = []
     for round_index in range(config.messages_per_phase):
-        when = round_index * config.interval
+        when = round_index * interval
         for host in others:
-            kernel.schedule(when, exchange, reference, host)
-            kernel.schedule(when + config.interval / 2.0, exchange, host, reference)
+            sends.append((start + when, len(sends), reference, host))
+            sends.append((start + (when + interval / 2.0), len(sends), host, reference))
+    sends.sort()
 
-    phase_end = kernel.now + config.messages_per_phase * config.interval + 0.010
+    receptions: list[tuple[float, int, SyncMessageRecord]] = []
+    for order, (sent_at, _, sender, receiver) in enumerate(sends):
+        arrival = sent_at + (sample_delay(rng) + wakeups[receiver])
+        if arrival <= phase_end:
+            record = SyncMessageRecord(
+                sender, receiver, clocks[sender](sent_at), clocks[receiver](arrival)
+            )
+            receptions.append((arrival, order, record))
+    receptions.sort()
+
     environment.run(until=phase_end)
-    return records
+    return [record for _, _, record in receptions]

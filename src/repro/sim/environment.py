@@ -138,7 +138,7 @@ class Environment:
         process._bind(self, host)
         host.attach_process(process)
         self._processes[process.name] = process
-        self.kernel.schedule(start_delay, self._start_process, process)
+        self.kernel.post_at(self.kernel.now + start_delay, self._start_process, process)
         return process
 
     def _start_process(self, process: SimProcess) -> None:
@@ -228,7 +228,7 @@ class Environment:
         pair = (message.source, destination)
         dispatch_at = max(self.kernel.now + delay, self._dispatch_floor.get(pair, 0.0))
         self._dispatch_floor[pair] = dispatch_at
-        self.kernel.schedule_at(dispatch_at, self._dispatch, destination, message)
+        self.kernel.post_at(dispatch_at, self._dispatch, destination, message)
 
     def _dispatch(self, destination: str, message: NetworkMessage) -> None:
         process = self._processes.get(destination)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from math import inf
 from typing import Any, Callable
 
 from repro.errors import RuntimePhaseError
@@ -100,7 +101,7 @@ class SimKernel:
         self._events_processed = 0
         self._cancelled_in_queue = 0
         self._compactions = 0
-        self._running = False
+        self._stop_requested = False
 
     @property
     def now(self) -> float:
@@ -167,151 +168,85 @@ class SimKernel:
             # sorted — and single-argument — by construction.
             heapq.heappush(self._queue, (time, next(self._seq), None, callback, args))
 
-    def _posted_first(self) -> bool:
-        """Whether the monotone lane's head precedes the heap's head.
-
-        Assumes both lanes are non-empty; ties fall back to the globally
-        unique sequence numbers, exactly as heap-entry tuple comparison
-        would decide them.
-        """
-        head = self._queue[0]
-        time = self._posted_times[0]
-        return time < head[0] or (time == head[0] and self._posted_seqs[0] < head[1])
-
-    def _dispatch_posted(self) -> None:
-        """Pop and run the monotone lane's head event."""
-        self._now = self._posted_times.popleft()
-        self._posted_seqs.popleft()
-        self._events_processed += 1
-        self._posted_callbacks.popleft()(self._posted_args.popleft())
-
     def step(self) -> bool:
         """Run the next pending callback.  Return ``False`` if none remain."""
-        queue = self._queue
-        while queue or self._posted_times:
-            if queue and not (self._posted_times and self._posted_first()):
-                entry = heapq.heappop(queue)
-                handle = entry[2]
-                if handle is not None:
-                    if handle.cancelled:
-                        self._discard(handle)
-                        continue
-                    handle._in_queue = False
-                self._now = entry[0]
-                self._events_processed += 1
-                entry[3](*entry[4])
-            else:
-                self._dispatch_posted()
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
+
+    def request_stop(self) -> None:
+        """Make the current :meth:`run` return right after the running callback.
+
+        Meant to be called from inside a callback (the runtime calls it
+        when an experiment completes, so the campaign runner can drain the
+        kernel with one :meth:`run` call instead of stepping it event by
+        event).  The clock stays at the stopping callback's time.  Every
+        :meth:`run` starts with the request cleared, so a request never
+        outlives the run it stopped.
+        """
+        self._stop_requested = True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run callbacks until the queue drains or a limit is reached.
+        """Run callbacks until the queue drains, a limit is reached, or a stop is requested.
 
         Parameters
         ----------
         until:
             If given, stop once the next pending callback would run after
-            this time; the kernel clock is then advanced to ``until``.
+            this time; the kernel clock is then advanced to ``until`` (as
+            it is when the queue drains).
         max_events:
             If given, stop after executing this many callbacks (a guard
-            against runaway experiments).
+            against runaway experiments).  Like :meth:`request_stop`, this
+            leaves the clock at the last executed callback.
         """
-        # The loop body is :meth:`_peek_time` + :meth:`step` fused inline:
-        # peeking is a plain head access and popping skips a second
-        # cancellation check, which removes two Python-level calls per
-        # event — a measurable share of campaign runtime at hundreds of
-        # thousands of events.  Both lanes are drained in global
-        # ``(time, seq)`` order (see ``_posted_times`` and friends).
-        self._running = True
+        # One loop serves every caller: peeking, popping and the lane merge
+        # are inlined, because Python-level calls per event are a
+        # measurable share of campaign runtime.  Both lanes are drained in
+        # global ``(time, seq)`` order (see ``_posted_times`` and friends).
+        self._stop_requested = False
+        horizon = inf if until is None else until
+        # A budget of -1 counts down without ever reaching 0: no cap.
+        budget = -1 if max_events is None else max_events
         queue = self._queue
         times = self._posted_times
         seqs = self._posted_seqs
         callbacks = self._posted_callbacks
         arguments = self._posted_args
         pop = heapq.heappop
-        executed = 0
-        try:
-            if until is None and max_events is None:
-                # Unbounded drain (the campaign-end and benchmark case):
-                # no limit checks, and the monotone lane pops without the
-                # peek-then-delete dance the `until` boundary needs.
-                while True:
-                    if queue:
-                        if times and self._posted_first():
-                            self._now = times.popleft()
-                            seqs.popleft()
-                            self._events_processed += 1
-                            callbacks.popleft()(arguments.popleft())
-                            continue
-                        entry = pop(queue)
-                        handle = entry[2]
-                        if handle is not None:
-                            if handle.cancelled:
-                                self._discard(handle)
-                                continue
-                            handle._in_queue = False
-                        self._now = entry[0]
-                        self._events_processed += 1
-                        entry[3](*entry[4])
-                    elif times:
-                        self._now = times.popleft()
-                        seqs.popleft()
-                        self._events_processed += 1
-                        callbacks.popleft()(arguments.popleft())
-                    else:
-                        return
-            while queue or times:
-                if max_events is not None and executed >= max_events:
-                    return
-                if queue and not (times and self._posted_first()):
-                    entry = queue[0]
+        while budget and not self._stop_requested:
+            if queue:
+                entry = queue[0]
+                time = entry[0]
+                if not times or time < times[0] or (time == times[0] and entry[1] < seqs[0]):
                     handle = entry[2]
                     if handle is not None and handle.cancelled:
                         pop(queue)
                         self._discard(handle)
                         continue
-                    if until is not None and entry[0] > until:
-                        self._now = max(self._now, until)
-                        return
+                    if time > horizon:
+                        break
                     pop(queue)
                     if handle is not None:
                         handle._in_queue = False
-                    self._now = entry[0]
+                    self._now = time
                     self._events_processed += 1
                     entry[3](*entry[4])
-                else:
-                    if until is not None and times[0] > until:
-                        self._now = max(self._now, until)
-                        return
-                    self._now = times.popleft()
-                    seqs.popleft()
-                    self._events_processed += 1
-                    callbacks.popleft()(arguments.popleft())
-                executed += 1
-            if until is not None:
-                self._now = max(self._now, until)
-        finally:
-            self._running = False
-
-    def _peek_time(self) -> float | None:
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[2]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(queue)
-                self._discard(handle)
-                continue
-            break
-        times = self._posted_times
-        if queue:
-            if times and self._posted_first():
-                return times[0]
-            return queue[0][0]
-        if times:
-            return times[0]
-        return None
+                    budget -= 1
+                    continue
+            elif not times:
+                break
+            if times[0] > horizon:
+                break
+            self._now = times.popleft()
+            seqs.popleft()
+            self._events_processed += 1
+            callbacks.popleft()(arguments.popleft())
+            budget -= 1
+        else:
+            return  # event cap or stop request: the clock stays put
+        if until is not None:
+            self._now = max(self._now, until)
 
     # -- lazy-deletion bookkeeping ----------------------------------------------------
     #

@@ -27,18 +27,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.sim.rng import BlockUniformSource, RandomStream, RandomStreams, uniform_source
+from repro.sim.rng import RandomStream, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports LinkProfile)
     from repro.sim.topology import LinkState, NetworkFaultSpec, Partition, Topology
-
-
-#: How many uniform variates the delivery engine pre-draws from the
-#: ``"network"`` stream per refill.  ``0`` selects the legacy per-call draw
-#: discipline; any chunking produces the same variates in the same order
-#: (see :mod:`repro.sim.rng`), so this is a pure throughput knob — the
-#: differential suite runs every scenario at both settings to prove it.
-DEFAULT_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,23 +59,17 @@ class LinkProfile:
             raise RuntimeConfigurationError("loss probability must be within [0, 1]")
 
     def sample_delay(self, rng: RandomStream) -> float:
-        """Draw one one-way delay from this profile."""
-        if self.jitter_mean > 0:
-            return self.delay_from_uniform(rng.random())
-        return self.base_delay
+        """Draw one one-way delay from this profile.
 
-    def delay_from_uniform(self, u: float) -> float:
-        """The delay a jittered profile produces from one uniform variate.
-
-        This is ``base_delay + expovariate(1.0 / jitter_mean)`` with the
-        variate made explicit, replicating ``random.expovariate`` operation
-        by operation (``-log(1 - u) / lambd`` with ``lambd`` computed as
-        the reciprocal first) so pre-drawn and per-call variates yield
-        bit-identical delays.  Only meaningful when ``jitter_mean > 0`` —
-        callers must branch on that *before* consuming a variate, because
-        jitter-free profiles draw nothing.
+        This is ``base_delay + expovariate(1.0 / jitter_mean)``, written
+        out the way ``random.expovariate`` computes it (``-log(1 - u) /
+        lambd`` with ``lambd`` computed as the reciprocal first) so that
+        :meth:`NetworkModel.send`, which inlines it, draws bit-identical
+        delays.  Jitter-free profiles draw nothing.
         """
-        return self.base_delay + -log(1.0 - u) / (1.0 / self.jitter_mean)
+        if self.jitter_mean > 0:
+            return self.base_delay + -log(1.0 - rng.random()) / (1.0 / self.jitter_mean)
+        return self.base_delay
 
 
 #: Shared-memory / semaphore hop between two processes on the same host.
@@ -194,7 +180,6 @@ class NetworkModel:
         topology: "Topology | None" = None,
         default_profile: LinkProfile = LAN_TCP_PROFILE,
         ipc_profile: LinkProfile = IPC_PROFILE,
-        draw_chunk: int | None = None,
     ) -> None:
         # Function-level import: network.py defines LinkProfile, which
         # topology.py imports at module level, so the reverse import must
@@ -206,26 +191,9 @@ class NetworkModel:
             topology = Topology(ipc_profile=ipc_profile, default_profile=default_profile)
         self._host_of = host_of
         self._kernel = kernel
-        self._rng = streams.stream("network")
-        # The engine owns the "network" stream exclusively, so it may
-        # pre-draw uniform variates in chunks without perturbing anyone
-        # else; the source hands them out in exactly per-call order.
-        chunk = DEFAULT_DRAW_CHUNK if draw_chunk is None else draw_chunk
-        source = uniform_source(self._rng, chunk)
-        self._next_u = source.next
-        # The jitter draw happens once per delivered message, so it skips
-        # even the source's ``next`` frame: ``_draw_u`` is the C-level
-        # ``pop`` of the source's stable buffer (refilled in place on
-        # IndexError via ``_refill_u``) — or ``Random.random`` itself in
-        # per-call mode, where the except branch is unreachable.  Both
-        # bindings consume the same underlying double sequence as
-        # ``_next_u``, in the same order.
-        if isinstance(source, BlockUniformSource):
-            self._draw_u = source.buffer.pop
-            self._refill_u = source.refill
-        else:
-            self._draw_u = self._rng.random
-            self._refill_u = source.next
+        # Bound once: every loss, jitter, reorder and duplicate decision is
+        # one call of the "network" stream's C-level ``random``.
+        self._random = streams.stream("network").random
         self._topology = topology
         # Resolved routes per endpoint pair: host_of is a pure function of
         # the endpoint string and links are stable objects mutated in
@@ -554,26 +522,19 @@ class NetworkModel:
                 self.record_event(blocked, source, destination, detail=link.name)
                 return message
         # Each draw below consumes the "network" stream's next uniform
-        # variate, conditionally and in the exact order of the per-call
-        # implementation (loss, jitter, reorder check, reorder offset,
-        # duplicate check, duplicate jitter) — the delay and offset math
-        # replicates expovariate/uniform operation by operation (see
-        # LinkProfile.delay_from_uniform), so chunked pre-drawing cannot
-        # change a single simulated outcome.
+        # variate, conditionally and in a fixed order (loss, jitter,
+        # reorder check, reorder offset, duplicate check, duplicate
+        # jitter); the delay and offset math replicates expovariate/uniform
+        # operation by operation (see LinkProfile.sample_delay).
         chosen = profile or link.profile
-        next_u = self._next_u
+        next_u = self._random
         if chosen.loss_probability > 0 and next_u() < chosen.loss_probability:
             self.messages_dropped += 1
             self.record_event("lost", source, destination, detail=link.name)
             return message
         jitter_mean = chosen.jitter_mean
         if jitter_mean > 0:
-            try:
-                u = self._draw_u()
-            except IndexError:  # block ran dry; refill it in place
-                self._refill_u()
-                u = self._draw_u()
-            delay = chosen.base_delay + -log(1.0 - u) / (1.0 / jitter_mean)
+            delay = chosen.base_delay + -log(1.0 - next_u()) / (1.0 / jitter_mean)
         else:
             delay = chosen.base_delay
         # TCP (and the shared-memory IPC queue) deliver in order per
@@ -631,7 +592,3 @@ class NetworkModel:
             f"dropped={self.messages_dropped}, duplicated={self.messages_duplicated}, "
             f"reordered={self.messages_reordered})"
         )
-
-
-#: Backwards-compatible alias: the pre-topology delivery engine was ``Network``.
-Network = NetworkModel

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.campaign import CampaignConfig, StudyConfig
+from repro.core.runtime.syncphase import SyncPhaseConfig
 from repro.errors import StoreIntegrityError
 from repro.sim.topology import NetworkConfig
 
@@ -79,6 +80,19 @@ def _node_description(node: "NodeDefinition") -> dict[str, Any]:
     }
 
 
+def _sync_description(sync: SyncPhaseConfig) -> str:
+    """The sync-phase parameters in the form archives were fingerprinted with.
+
+    ``SyncPhaseConfig`` once had a ``dedicated_receiver`` flag that was
+    always true; the receiver model it selected is now the only one.  The
+    description keeps the flag's old ``repr`` text so archives written
+    before its removal stay resumable.  It extends the ``repr`` rather
+    than spelling the fields out, so a field added later still changes
+    the fingerprint.
+    """
+    return f"{repr(sync)[:-1]}, dedicated_receiver=True)"
+
+
 def study_description(study: StudyConfig) -> dict[str, Any]:
     """The canonical declarative description a study's fingerprint hashes.
 
@@ -101,7 +115,7 @@ def study_description(study: StudyConfig) -> dict[str, Any]:
         "design": repr(study.design),
         "restart_policy": repr(study.restart_policy),
         "watchdog": repr(study.watchdog),
-        "sync": repr(study.sync),
+        "sync": _sync_description(study.sync),
         "default_scheduler": repr(study.default_scheduler),
         "clock_generation": repr(study.clock_generation),
         "ipc_profile": repr(study.ipc_profile),

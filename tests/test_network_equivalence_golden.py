@@ -15,14 +15,12 @@ The new partition scenarios are deliberately absent from the golden file
 the serial-vs-pool smoke tests and the store round trip in
 ``test_network_scenarios_store.py``.
 
-``tests/data/network_batched_golden.json`` is the same style of pin for
-the *batched* delivery path: it was generated by the legacy per-call draw
-discipline (``DEFAULT_DRAW_CHUNK`` forced to 0) over every registered
-scenario, partition suite included, and the test replays each scenario
-through the batched default.  Where the refactor golden proves the
-topology layer kept the old stream order, this one proves block
-pre-drawing keeps it too — and keeps proving it from disk even if both
-disciplines were someday broken in the same way in memory.
+``tests/data/network_batched_golden.json`` is the same style of pin over
+every registered scenario, partition and protocol suites included,
+generated with per-call draws from the ``"network"`` stream; the test
+replays each scenario through the delivery engine.  Where the refactor
+golden proves the topology layer kept the old stream order, this one pins
+the order for the whole registry from disk.
 """
 
 import json
@@ -99,13 +97,7 @@ def test_golden_file_covers_every_pre_refactor_scenario():
 
 @pytest.mark.parametrize("scenario_name", sorted(BATCHED_GOLDEN))
 def test_batched_delivery_matches_per_call_golden(scenario_name):
-    """The batched default reproduces per-call-generated numbers from disk."""
-    import repro.sim.network
-
-    assert repro.sim.network.DEFAULT_DRAW_CHUNK >= 2, (
-        "this pin must exercise the batched path; the default draw "
-        "discipline is no longer blocked"
-    )
+    """Every scenario reproduces the per-call-generated numbers from disk."""
     expected = BATCHED_GOLDEN[scenario_name]
     scenario = DEFAULT_REGISTRY.get(scenario_name)
     study = scenario.build(
@@ -124,7 +116,7 @@ def test_batched_delivery_matches_per_call_golden(scenario_name):
 
     durations = [e.result.duration.hex() for e in study_analysis.experiments]
     assert durations == expected["durations"], (
-        f"{scenario_name}: batched delivery no longer consumes the RNG "
+        f"{scenario_name}: delivery no longer consumes the RNG "
         "stream in per-call order"
     )
 
@@ -139,7 +131,7 @@ def test_batched_delivery_matches_per_call_golden(scenario_name):
         ]
         assert values == expected["measure_values"], (
             f"{scenario_name}: study-measure values are not bit-identical "
-            "to the per-call draw discipline"
+            "to the pinned per-call draws"
         )
 
 

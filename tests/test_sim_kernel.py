@@ -254,3 +254,56 @@ def test_run_until_and_step_drain_posted_lane():
     assert kernel.step()
     assert order == ["p1", "h2", "p3"]
     assert not kernel.step()
+
+
+def test_request_stop_from_heap_lane_returns_right_after_the_callback():
+    kernel = SimKernel()
+    order = []
+
+    def stop(tag):
+        order.append(tag)
+        kernel.request_stop()
+
+    kernel.schedule_at(1.0, order.append, "h1")
+    kernel.schedule_at(2.0, stop, "stop")
+    kernel.schedule_at(2.0, order.append, "same-time")
+    kernel.post_at(3.0, order.append, "p3")
+    kernel.run(until=10.0)
+    assert order == ["h1", "stop"]
+    assert kernel.now == 2.0  # a stopped run does not advance to ``until``
+    assert kernel.events_processed == 2
+    assert kernel.pending == 2
+
+
+def test_request_stop_from_posted_lane_returns_right_after_the_callback():
+    kernel = SimKernel()
+    order = []
+
+    def stop(tag):
+        order.append(tag)
+        kernel.request_stop()
+
+    kernel.post_at(1.0, stop, "stop")
+    kernel.post_at(1.0, order.append, "p1")
+    kernel.schedule_at(1.5, order.append, "h2")
+    kernel.run()
+    assert order == ["stop"]
+    assert kernel.now == 1.0
+    assert kernel.pending == 2
+
+
+def test_request_stop_does_not_leak_into_the_next_run():
+    kernel = SimKernel()
+    order = []
+    kernel.post_at(1.0, lambda _: kernel.request_stop(), None)
+    kernel.post_at(2.0, order.append, "a")
+    kernel.post_at(3.0, order.append, "b")
+    kernel.run()
+    assert order == []
+    kernel.run()
+    assert order == ["a", "b"]
+    # A request made outside any run is cleared when the next run starts.
+    kernel.request_stop()
+    kernel.post_at(4.0, order.append, "c")
+    kernel.run()
+    assert order == ["a", "b", "c"]
