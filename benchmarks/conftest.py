@@ -11,17 +11,13 @@ comparable perf record.
 
 from __future__ import annotations
 
-import os
-
 from bench_record import record_benchmarks
+from repro.core.execution import ExecutionConfig
 
 
 def usable_cpus() -> int:
     """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
+    return ExecutionConfig().resolved_workers()
 
 
 def round_trip_messages(

@@ -1,4 +1,4 @@
-"""Campaign execution engine: serial, process-pool, and distributed backends.
+"""Campaign execution engine: serial and process-pool backends.
 
 Loki evaluations need thousands of experiments per study to estimate
 correct-injection probabilities and coverage measures, and every experiment
@@ -8,25 +8,23 @@ is an independent unit of work: it derives its own seed from the public
 its siblings.  That makes experiment-level parallelism embarrassingly
 available, and this module supplies it behind a small engine:
 
-* :class:`ExecutionConfig` selects a backend (``"serial"``,
-  ``"process-pool"``, or ``"distributed"``), a worker count, a chunk
-  size, and the fault-tolerance knobs (retry budget, backoff base,
-  heartbeat cadence);
+* :class:`ExecutionConfig` selects a backend (``"serial"`` or
+  ``"process-pool"``), a worker count, a chunk size, and the retry knobs
+  (retry budget, backoff base);
 * :class:`SerialExecutor` runs experiments in-process in index order
   (bit-identical to the historical ``CampaignRunner.run`` loop);
 * :class:`ProcessPoolExecutor` fans experiments out across a
-  ``concurrent.futures`` fork pool, surviving worker crashes by retrying
-  the lost chunks within the configured budget;
-* :class:`~repro.dist.coordinator.DistributedExecutor` (backend
-  ``"distributed"``) shards the campaign across supervised worker
-  processes behind a sockets-based coordinator with heartbeats, lease
-  reassignment, and idempotent completion resolution — see
-  :mod:`repro.dist`.
+  ``concurrent.futures`` fork pool, surviving worker crashes by rebuilding
+  the pool and re-running the lost chunks within the configured budget.
 
 Each worker re-derives its experiment seed from the study seed and
-experiment index, so scheduling order cannot change any outcome: all
+experiment index, so scheduling order cannot change any outcome: both
 backends produce identical per-experiment seeds, timelines, and measure
-values — even across crashes, retries, and duplicated deliveries.
+values — even across crashes and retries, since a re-run chunk is
+bit-identical to its first attempt and a future resolves exactly once.
+A hung worker is not detected: a chunk that never returns stalls the
+campaign until it is interrupted, and with a store attached a rerun
+resumes from the experiments already persisted.
 
 The engine exposes two entry points.  :meth:`ExperimentExecutor.run_campaign`
 performs only the runtime phase and returns a full
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
+import time
 import warnings
 from concurrent import futures as _futures
 from concurrent.futures.process import BrokenProcessPool
@@ -86,10 +84,6 @@ SERIAL = "serial"
 #: Backend name: fan experiments out across a ``multiprocessing`` fork pool.
 PROCESS_POOL = "process-pool"
 
-#: Backend name: shard the campaign across supervised worker processes
-#: behind the fault-tolerant coordinator in :mod:`repro.dist`.
-DISTRIBUTED = "distributed"
-
 #: Callback signature for progress streaming: ``(study_name, done, total)``.
 ProgressCallback = Callable[[str, int, int], None]
 
@@ -105,7 +99,7 @@ CompletionSink = Callable[[int, int, object], None]
 def available_backends() -> tuple[str, ...]:
     """The execution backends usable on this platform."""
     if "fork" in multiprocessing.get_all_start_methods():
-        return (SERIAL, PROCESS_POOL, DISTRIBUTED)
+        return (SERIAL, PROCESS_POOL)
     return (SERIAL,)
 
 
@@ -116,10 +110,11 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"process-pool"``, or ``"distributed"``.
+        ``"serial"`` or ``"process-pool"``.
     workers:
-        Worker processes for the pool and distributed backends; ``None``
-        uses the machine's CPU count.  Ignored by the serial backend.
+        Worker processes for the pool backend; ``None`` uses the CPUs this
+        process may run on (its affinity mask, so ``taskset`` and cpusets
+        are honored).  Ignored by the serial backend.
     chunk_size:
         How many experiments each pool task carries.  Larger chunks
         amortize IPC overhead for campaigns of many fast experiments.
@@ -137,20 +132,13 @@ class ExecutionConfig:
         ``(study_name, completed_in_study, total_in_study)``.  Never
         pickled: it runs in the coordinating process only.
     max_retries:
-        How many times the pool and distributed backends re-attempt work
-        lost to a crashed worker (a broken pool, a dead shard lease)
-        before giving up with
+        How many times the pool backend rebuilds itself and re-runs the
+        chunks lost to a crashed worker before giving up with
         :class:`~repro.errors.ExecutionInterrupted`.  ``0`` disables
         retries; determinism makes every retry bit-safe.
     retry_backoff_base_s:
-        First-retry backoff delay; successive retries double it (with
-        jitter from the dedicated supervision RNG stream).
-    heartbeat_interval_s:
-        How often distributed workers beat, and how often the
-        coordinator sweeps for silence.
-    heartbeat_timeout_s:
-        Silence span after which the coordinator declares a distributed
-        worker dead and reassigns its shard.  Must exceed the interval.
+        First-retry backoff delay; successive retries double it, up to
+        five seconds.
     """
 
     backend: str = SERIAL
@@ -160,14 +148,12 @@ class ExecutionConfig:
     progress: ProgressCallback | None = field(default=None, compare=False)
     max_retries: int = 2
     retry_backoff_base_s: float = 0.05
-    heartbeat_interval_s: float = 0.5
-    heartbeat_timeout_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.backend not in (SERIAL, PROCESS_POOL, DISTRIBUTED):
+        if self.backend not in (SERIAL, PROCESS_POOL):
             raise RuntimeConfigurationError(
                 f"unknown execution backend {self.backend!r}; "
-                f"expected {SERIAL!r}, {PROCESS_POOL!r}, or {DISTRIBUTED!r}"
+                f"expected {SERIAL!r} or {PROCESS_POOL!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise RuntimeConfigurationError(
@@ -185,16 +171,6 @@ class ExecutionConfig:
             raise RuntimeConfigurationError(
                 f"retry backoff base must be positive (got {self.retry_backoff_base_s})"
             )
-        if self.heartbeat_interval_s <= 0:
-            raise RuntimeConfigurationError(
-                f"heartbeat interval must be positive (got {self.heartbeat_interval_s})"
-            )
-        if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-            raise RuntimeConfigurationError(
-                f"heartbeat timeout ({self.heartbeat_timeout_s}) must exceed the "
-                f"heartbeat interval ({self.heartbeat_interval_s}), or every "
-                "in-flight worker would look dead between beats"
-            )
 
     @staticmethod
     def serial(**kwargs) -> "ExecutionConfig":
@@ -206,15 +182,16 @@ class ExecutionConfig:
         """A process-pool configuration with ``workers`` processes."""
         return ExecutionConfig(backend=PROCESS_POOL, workers=workers, **kwargs)
 
-    @staticmethod
-    def distributed(workers: int | None = None, **kwargs) -> "ExecutionConfig":
-        """A distributed-backend configuration with ``workers`` processes."""
-        return ExecutionConfig(backend=DISTRIBUTED, workers=workers, **kwargs)
-
     def resolved_workers(self) -> int:
-        """The concrete worker count the pool backend will use."""
+        """The concrete worker count the pool backend will use.
+
+        ``None`` resolves to the CPUs this process may run on, not the
+        machine's CPU count, so a pinned campaign does not oversubscribe.
+        """
         if self.workers is not None:
             return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
     def resolved_chunk_size(self, task_count: int, workers: int) -> int:
@@ -493,7 +470,7 @@ class ExperimentExecutor:
         portion of the archive; callers release each record as they consume
         it.  A two-pass streaming reader that validates seeds first and
         re-decodes lazily would trade that peak for double decode cost —
-        the right move once archives outgrow memory (sharded campaigns).
+        the right move once archives outgrow memory.
         """
         store.attach(campaign)
         cached: dict[tuple[int, int], "ExperimentResult"] = {}
@@ -632,14 +609,15 @@ class ProcessPoolExecutor(ExperimentExecutor):
         # never cross the process boundary (only (study, experiment) index
         # pairs do).
         self._publish_state(campaign, runner_class, keep_raw_override)
+        completions = self._pool_completions(campaign, task, items)
         try:
             return self._collect(
-                campaign,
-                self._pool_completions(campaign, task, items),
-                sink=sink,
-                done_offsets=done_offsets,
+                campaign, completions, sink=sink, done_offsets=done_offsets
             )
         finally:
+            # A raising sink or progress callback must not leave the pool
+            # running the rest of the campaign until garbage collection.
+            completions.close()
             _WORKER_STATE.clear()
 
     def _pool_completions(
@@ -652,11 +630,7 @@ class ProcessPoolExecutor(ExperimentExecutor):
         exactly the unfinished chunks — nothing finished is re-run, and
         nothing pending is lost.
         """
-        from repro.dist.supervision import RetryPolicy, SystemClock, supervision_stream
-
-        policy = RetryPolicy.from_execution(self.config)
-        rng = supervision_stream(campaign, "pool-retry-jitter")
-        clock = SystemClock()
+        max_retries = self.config.max_retries
         context = multiprocessing.get_context("fork")
         pending = list(items)
         attempt = 0
@@ -670,23 +644,44 @@ class ProcessPoolExecutor(ExperimentExecutor):
             finished = [False] * len(chunks)
             broken: BrokenProcessPool | None = None
             pool = _futures.ProcessPoolExecutor(max_workers=workers, mp_context=context)
+            submitted: list[_futures.Future] = []
             try:
-                submitted = [pool.submit(_chunk_task, task, chunk) for chunk in chunks]
-                positions = {future: index for index, future in enumerate(submitted)}
-                for future in _futures.as_completed(submitted):
+                for chunk in chunks:
                     try:
-                        completions = future.result()
+                        submitted.append(pool.submit(_chunk_task, task, chunk))
                     except BrokenProcessPool as error:
-                        # The pool marks every unfinished future broken at
-                        # once; keep draining so finished chunks still yield.
+                        # A worker died while chunks were still being handed
+                        # out; the unsubmitted chunks join the retry set.
                         broken = error
-                        continue
-                    finished[positions[future]] = True
-                    yield from completions
+                        break
+                positions = {future: index for index, future in enumerate(submitted)}
+                if broken is None:
+                    for future in _futures.as_completed(submitted):
+                        try:
+                            completions = future.result()
+                        except BrokenProcessPool as error:
+                            broken = error
+                            break
+                        finished[positions[future]] = True
+                        yield from completions
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
             if broken is None:
                 return
+            # The shutdown joined the pool's manager thread, so every future
+            # is final now.  Chunks that finished before the break still
+            # count; a future the broken pool never resolved (on Python 3.11
+            # a submit racing the break can be dropped) is unfinished rather
+            # than waited on forever.
+            for index, future in enumerate(submitted):
+                if finished[index] or not future.done() or future.cancelled():
+                    continue
+                try:
+                    completions = future.result()
+                except BrokenProcessPool:
+                    continue
+                finished[index] = True
+                yield from completions
             pending = [
                 item
                 for index, chunk in enumerate(chunks)
@@ -694,10 +689,10 @@ class ProcessPoolExecutor(ExperimentExecutor):
                 for item in chunk
             ]
             attempt += 1
-            if policy.exhausted(attempt):
+            if attempt > max_retries:
                 raise ExecutionInterrupted(
                     f"a process-pool worker died and {len(pending)} experiment(s) "
-                    f"were still unfinished after {policy.max_retries} retries: "
+                    f"were still unfinished after {max_retries} retries: "
                     f"{_describe_tasks(campaign, pending)}",
                     pending=[
                         (campaign.studies[study_index].name, experiment_index)
@@ -707,9 +702,11 @@ class ProcessPoolExecutor(ExperimentExecutor):
             warnings.warn(
                 f"a process-pool worker died with {len(pending)} experiment(s) "
                 f"in flight ({_describe_tasks(campaign, pending)}); rebuilding "
-                f"the pool (retry {attempt} of {policy.max_retries})"
+                f"the pool (retry {attempt} of {max_retries})"
             )
-            clock.wait(threading.Event(), policy.delay(attempt, rng))
+            backoff = min(self.config.retry_backoff_base_s * 2 ** (attempt - 1), 5.0)
+            # repro-lint: disable=R006 paces real pool rebuilds, never simulated time
+            time.sleep(backoff)
 
 
 _EXECUTORS = {
@@ -721,9 +718,4 @@ _EXECUTORS = {
 def build_executor(config: ExecutionConfig | None) -> ExperimentExecutor:
     """Instantiate the executor class selected by ``config``."""
     config = config or ExecutionConfig()
-    if config.backend == DISTRIBUTED:
-        # Imported lazily: repro.dist builds on this module.
-        from repro.dist.coordinator import DistributedExecutor
-
-        return DistributedExecutor(config)
     return _EXECUTORS[config.backend](config)

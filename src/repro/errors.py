@@ -93,21 +93,11 @@ class StoreIntegrityError(StoreError):
     """
 
 
-class ProtocolError(ReproError):
-    """A distributed-execution wire message was malformed or truncated.
-
-    A frame cut off mid-message is the signature a killed worker (or
-    coordinator) leaves on the socket; the peer treats it as a connection
-    loss, not as data.
-    """
-
-
 class ExecutionInterrupted(ReproError):
     """A campaign's execution was abandoned before every experiment ran.
 
-    Raised when worker processes die faster than the configured retry
-    budget can absorb (a crashed pool worker, an exhausted distributed
-    shard lease).  ``pending`` lists the ``(study_name, experiment_index)``
+    Raised when pool workers die faster than the configured retry budget
+    can absorb.  ``pending`` lists the ``(study_name, experiment_index)``
     pairs that had not completed, so the failure names exactly what was
     lost; when a campaign store was attached, everything that *did*
     complete is already on disk and re-running with the same store resumes
@@ -119,15 +109,6 @@ class ExecutionInterrupted(ReproError):
     ) -> None:
         super().__init__(message)
         self.pending = list(pending or [])
-
-
-class NoWorkersError(ExecutionInterrupted):
-    """No distributed worker ever connected to the coordinator.
-
-    The distributed backend catches this and degrades to a serial
-    in-process run (with a warning) — zero completions have happened when
-    it is raised, so the fallback is safe.
-    """
 
 
 class MeasureError(ReproError):

@@ -362,9 +362,9 @@ class CampaignStore:
         independent of codec, record order, append history, and duplicated
         deliveries.  Two stores fingerprint identically exactly when they
         hold bit-identical experiment payloads, which is what the chaos
-        harness asserts: a campaign that survived worker crashes, shard
-        reassignment, and duplicate completions must fingerprint the same
-        as one that ran serially.
+        harness asserts: a campaign that survived worker crashes, pool
+        rebuilds, and a resumed coordinator must fingerprint the same as
+        one that ran serially.
         """
         from repro.store.format import result_to_dict
 

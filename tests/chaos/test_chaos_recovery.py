@@ -1,15 +1,20 @@
-"""Chaos tests: fault injection into the distributed orchestrator itself.
+"""Chaos tests: fault injection into the process pool that runs campaigns.
 
 The paper's methodology — inject faults, observe whether the system's
 behaviour stays within its specification — applied to the backend that
 runs the paper's campaigns.  Each test injects a real fault into a live
-coordinator/worker fleet (SIGKILL mid-shard, dropped heartbeats, a hung
-worker, duplicated completions, a killed coordinator) and then asserts
-the *strongest* possible specification: the recovered campaign's measures
-and its store fingerprint are **bit-identical** to an undisturbed serial
-run.  The seed-derivation contract is what makes that assertion possible
-— every experiment's seed is a pure function of (study, index), so no
-matter which worker re-ran what, the merged records must match exactly.
+fork pool (a worker SIGKILLed mid-chunk, two workers lost at different
+experiments, a coordinator that dies while a worker is also being killed)
+and then asserts the *strongest* possible specification: the recovered
+campaign's measures and its store fingerprint are **bit-identical** to an
+undisturbed serial run.  The seed-derivation contract is what makes that
+assertion possible — every experiment's seed is a pure function of
+(study, index), so no matter which worker re-ran what, the merged records
+must match exactly.
+
+The faults come from ``runner_class`` seams: a runner that SIGKILLs its
+own worker process at chosen experiments, once per sentinel file, so the
+retried attempt runs clean.  The library carries no chaos hooks.
 
 This module is self-contained (the ``tests/chaos/`` directory is its own
 rootdir for imports) so CI's ``chaos-smoke`` job can run it in isolation.
@@ -19,14 +24,19 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import replace
+import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.apps.toggle import build_toggle_study
-from repro.core.campaign import CampaignConfig
-from repro.core.execution import DISTRIBUTED, ExecutionConfig, available_backends
-from repro.dist import CampaignCoordinator, DistributedExecutor, WorkerOptions
+from repro.core.campaign import CampaignConfig, CampaignRunner
+from repro.core.execution import (
+    PROCESS_POOL,
+    ExecutionConfig,
+    available_backends,
+    build_executor,
+)
 from repro.measures import (
     MeasureStep,
     SimpleSamplingMeasure,
@@ -39,18 +49,12 @@ from repro.pipeline import run_and_analyze
 from repro.store import CampaignStore
 
 needs_fork = pytest.mark.skipif(
-    DISTRIBUTED not in available_backends(),
-    reason="distributed backend needs the fork start method",
+    PROCESS_POOL not in available_backends(),
+    reason="the process-pool backend needs the fork start method",
 )
 
-#: Supervision tuned for chaos: fast heartbeats, fast death verdicts,
-#: near-instant retries — so injected faults are detected in tens of
-#: milliseconds and each test finishes in well under a second.
-CHAOS_KNOBS = dict(
-    heartbeat_interval_s=0.05,
-    heartbeat_timeout_s=0.25,
-    retry_backoff_base_s=0.01,
-)
+#: Near-instant retries, so each test finishes in well under a second.
+CHAOS_BACKOFF_S = 0.01
 
 
 def build_campaign(experiments: int = 8) -> CampaignConfig:
@@ -95,180 +99,97 @@ def serial_baseline(campaign, tmp_path):
     return campaign_measures_of(analysis), store.content_fingerprint()
 
 
-def run_with_chaos(executor_class, campaign, config, tmp_path):
-    """One chaos run, returning (measures, fingerprint, coordinator stats)."""
-    executor = executor_class(config)
-    store = CampaignStore(tmp_path / "chaos")
-    analysis = executor.run_and_analyze(campaign, store=store)
-    coordinator = executor_class.coordinator_class.instances[-1]
-    return (
-        campaign_measures_of(analysis),
-        store.content_fingerprint(),
-        coordinator.stats,
-    )
+def suicidal_runner(kill_at: dict[tuple[str, int], Path]) -> type[CampaignRunner]:
+    """A runner whose worker SIGKILLs itself at each ``(study, index)`` key.
+
+    Each kill fires once: the dying worker first writes its pid into the
+    key's sentinel file, and a present sentinel disarms the kill, so the
+    pool's retry runs the experiment clean.  Results are otherwise those
+    of the plain runner — only scheduling is disturbed.
+    """
+
+    class SuicidalRunner(CampaignRunner):
+        @classmethod
+        def run_experiment_of(cls, study, index):
+            sentinel = kill_at.get((study.name, index))
+            if sentinel is not None and not sentinel.exists():
+                sentinel.write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().run_experiment_of(study, index)
+
+    return SuicidalRunner
 
 
-class Recording(CampaignCoordinator):
-    """Base chaos coordinator: keeps every instance for stats inspection."""
-
-    instances: list["Recording"]
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.instances = []
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        type(self).instances.append(self)
+def run_with_chaos(campaign, config, runner_class, store):
+    """One chaos run, returning (analysis, pool rebuilds)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analysis = build_executor(config).run_and_analyze(
+            campaign, runner_class=runner_class, store=store
+        )
+    rebuilds = sum("rebuilding the pool" in str(w.message) for w in caught)
+    return analysis, rebuilds
 
 
 @needs_fork
 class TestWorkerSigkill:
-    def test_sigkill_mid_shard_recovers_bit_identical(self, tmp_path):
-        # SIGKILL the worker that delivers the first completion.  Its
-        # shard (6 experiments) is mid-flight, so the lease is torn and
-        # must be re-run elsewhere; the already-delivered experiment comes
-        # back a second time and must be dropped, not double-counted.
-        class Killer(Recording):
-            def __init__(self, *args, **kwargs) -> None:
-                super().__init__(*args, **kwargs)
-                self.killed: list[int] = []
-
-            def chaos_on_completion(self, worker_id, study_index, experiment_index):
-                if not self.killed:
-                    self.killed.append(worker_id)
-                    os.kill(self.workers[worker_id].process.pid, signal.SIGKILL)
-
-        class ChaosExecutor(DistributedExecutor):
-            coordinator_class = Killer
-
+    def test_sigkill_mid_chunk_recovers_bit_identical(self, tmp_path):
+        # The worker holding chunk alpha:0-3 dies at alpha:2, after it has
+        # already finished alpha:0 and alpha:1.  A chunk returns whole or
+        # not at all, so those two are lost with it and must be re-run —
+        # never double-written to the store.
+        sentinel = tmp_path / "killed-alpha-2"
         campaign = build_campaign(experiments=8)
         baseline, base_print = serial_baseline(campaign, tmp_path)
-        config = ExecutionConfig.distributed(workers=3, chunk_size=6, **CHAOS_KNOBS)
-        measures, fingerprint, stats = run_with_chaos(
-            ChaosExecutor, campaign, config, tmp_path
+        config = ExecutionConfig.process_pool(
+            workers=2, chunk_size=4, retry_backoff_base_s=CHAOS_BACKOFF_S
         )
-        assert Killer.instances[-1].killed, "chaos never fired"
-        assert stats["workers_lost"] >= 1
-        assert stats["reassignments"] >= 1
-        assert measures == baseline
-        assert fingerprint == base_print
+        store = CampaignStore(tmp_path / "chaos")
+        analysis, rebuilds = run_with_chaos(
+            campaign, config, suicidal_runner({("alpha", 2): sentinel}), store
+        )
+        assert sentinel.exists(), "chaos never fired"
+        assert rebuilds >= 1
+        assert campaign_measures_of(analysis) == baseline
+        assert store.content_fingerprint() == base_print
 
     def test_sigkill_two_workers_still_converges(self, tmp_path):
-        # Lose two of three workers, one per early completion; the fleet
-        # of one must still finish the campaign bit-identically (retry
-        # budget raised: the same shard may be torn twice).
-        class DoubleKiller(Recording):
-            def __init__(self, *args, **kwargs) -> None:
-                super().__init__(*args, **kwargs)
-                self.killed: list[int] = []
-
-            def chaos_on_completion(self, worker_id, study_index, experiment_index):
-                if len(self.killed) < 2 and worker_id not in self.killed:
-                    self.killed.append(worker_id)
-                    os.kill(self.workers[worker_id].process.pid, signal.SIGKILL)
-
-        class ChaosExecutor(DistributedExecutor):
-            coordinator_class = DoubleKiller
-
+        # Two kill points, each in its own chunk: two distinct worker
+        # processes die, the same campaign may break the pool twice, and
+        # the raised retry budget must absorb both.
+        sentinels = {
+            ("alpha", 1): tmp_path / "killed-alpha-1",
+            ("beta", 4): tmp_path / "killed-beta-4",
+        }
         campaign = build_campaign(experiments=8)
         baseline, base_print = serial_baseline(campaign, tmp_path)
-        config = ExecutionConfig.distributed(
-            workers=3, chunk_size=6, max_retries=4, **CHAOS_KNOBS
+        config = ExecutionConfig.process_pool(
+            workers=2, chunk_size=3, max_retries=4, retry_backoff_base_s=CHAOS_BACKOFF_S
         )
-        measures, fingerprint, stats = run_with_chaos(
-            ChaosExecutor, campaign, config, tmp_path
+        store = CampaignStore(tmp_path / "chaos")
+        analysis, rebuilds = run_with_chaos(
+            campaign, config, suicidal_runner(sentinels), store
         )
-        assert len(DoubleKiller.instances[-1].killed) == 2
-        assert stats["workers_lost"] >= 2
-        assert measures == baseline
-        assert fingerprint == base_print
-
-
-@needs_fork
-class TestDroppedHeartbeats:
-    def test_silent_hung_worker_is_declared_dead_and_reassigned(self, tmp_path):
-        # Worker 0 connects, takes a lease, then hangs with its heartbeat
-        # beacon disabled — the fault the heartbeat monitor exists for.
-        # Its silence must cross the timeout, the lease must move to the
-        # healthy worker, and the result must not change by a bit.
-        class Muzzled(Recording):
-            def worker_options(self, worker_id: int) -> WorkerOptions:
-                options = super().worker_options(worker_id)
-                if worker_id == 0:
-                    return replace(
-                        options,
-                        heartbeat_interval_s=None,
-                        stall_before_work_s=5.0,
-                    )
-                return options
-
-        class ChaosExecutor(DistributedExecutor):
-            coordinator_class = Muzzled
-
-        campaign = build_campaign(experiments=4)
-        baseline, base_print = serial_baseline(campaign, tmp_path)
-        config = ExecutionConfig.distributed(workers=2, chunk_size=4, **CHAOS_KNOBS)
-        measures, fingerprint, stats = run_with_chaos(
-            ChaosExecutor, campaign, config, tmp_path
-        )
-        assert stats["workers_lost"] >= 1
-        assert stats["reassignments"] >= 1
-        assert measures == baseline
-        assert fingerprint == base_print
-
-
-@needs_fork
-class TestDuplicatedCompletions:
-    def test_every_record_sent_twice_is_merged_once(self, tmp_path):
-        # Every worker sends every completion twice (an at-least-once
-        # delivery fault).  Idempotent first-wins dedup must keep exactly
-        # one record per experiment — the store fingerprint proves no
-        # duplicate ever reached disk.
-        class Stutterer(Recording):
-            def worker_options(self, worker_id: int) -> WorkerOptions:
-                return replace(
-                    super().worker_options(worker_id), duplicate_completions=True
-                )
-
-        class ChaosExecutor(DistributedExecutor):
-            coordinator_class = Stutterer
-
-        campaign = build_campaign(experiments=4)
-        baseline, base_print = serial_baseline(campaign, tmp_path)
-        config = ExecutionConfig.distributed(workers=2, chunk_size=2, **CHAOS_KNOBS)
-        measures, fingerprint, stats = run_with_chaos(
-            ChaosExecutor, campaign, config, tmp_path
-        )
-        assert stats["duplicates_dropped"] >= stats["completions"]
-        assert measures == baseline
-        assert fingerprint == base_print
+        pids = {path.read_text() for path in sentinels.values() if path.exists()}
+        assert len(pids) == 2, "expected two distinct workers to die"
+        assert rebuilds >= 1
+        assert campaign_measures_of(analysis) == baseline
+        assert store.content_fingerprint() == base_print
 
 
 @needs_fork
 class TestCoordinatorDeath:
     def test_killed_coordinator_heals_from_store_under_chaos(self, tmp_path):
-        # Compound fault: a worker is SIGKILLed mid-shard AND the
-        # coordinating process dies partway through (simulated by raising
-        # out of the progress callback, which tears down the pump exactly
-        # like a crash would).  A rerun against the same store must heal
-        # to the serial baseline, resimulating only what is missing.
-        class Killer(Recording):
-            def __init__(self, *args, **kwargs) -> None:
-                super().__init__(*args, **kwargs)
-                self.killed: list[int] = []
-
-            def chaos_on_completion(self, worker_id, study_index, experiment_index):
-                if not self.killed:
-                    self.killed.append(worker_id)
-                    os.kill(self.workers[worker_id].process.pid, signal.SIGKILL)
-
-        class ChaosExecutor(DistributedExecutor):
-            coordinator_class = Killer
-
+        # Compound fault: the first worker SIGKILLs itself at alpha:0, so
+        # the pool is rebuilt, AND the coordinating process dies after five
+        # completions (simulated by raising out of the progress callback,
+        # which tears down the run exactly like a crash would).  A rerun
+        # against the same store must heal to the serial baseline,
+        # resimulating only what is missing.
         class CoordinatorKilled(RuntimeError):
             pass
 
+        sentinel = tmp_path / "killed-alpha-0"
         campaign = build_campaign(experiments=6)
         baseline, base_print = serial_baseline(campaign, tmp_path)
         store_path = tmp_path / "chaos"
@@ -281,22 +202,23 @@ class TestCoordinatorDeath:
             if completions >= 5:
                 raise CoordinatorKilled()
 
-        first = ExecutionConfig.distributed(
-            workers=2, chunk_size=3, progress=die_after_five, **CHAOS_KNOBS
+        first = ExecutionConfig.process_pool(
+            workers=2, chunk_size=3, progress=die_after_five,
+            retry_backoff_base_s=CHAOS_BACKOFF_S,
         )
         with pytest.raises(CoordinatorKilled):
-            ChaosExecutor(first).run_and_analyze(
-                campaign, store=CampaignStore(store_path)
+            run_with_chaos(
+                campaign, first, suicidal_runner({("alpha", 0): sentinel}),
+                CampaignStore(store_path),
             )
+        assert sentinel.exists(), "chaos never fired"
         persisted = sum(
             report.valid for report in CampaignStore(store_path).verify().values()
         )
-        assert persisted >= 5
+        assert 5 <= persisted < 12
 
         # The restarted campaign: no chaos this time, same store.
-        rerun = ExecutionConfig.distributed(workers=2, chunk_size=3, **CHAOS_KNOBS)
-        analysis = DistributedExecutor(rerun).run_and_analyze(
-            campaign, store=CampaignStore(store_path)
-        )
+        rerun = ExecutionConfig.process_pool(workers=2, chunk_size=3)
+        analysis = run_and_analyze(campaign, rerun, store=CampaignStore(store_path))
         assert campaign_measures_of(analysis) == baseline
         assert CampaignStore(store_path).content_fingerprint() == base_print

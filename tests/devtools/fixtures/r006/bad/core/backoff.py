@@ -1,4 +1,4 @@
-"""Bad: dist code sleeping on the real clock instead of the injected one."""
+"""Bad: library code sleeping on the real clock without saying why."""
 
 import asyncio
 import time
@@ -6,7 +6,7 @@ from time import sleep
 
 
 def pace_retry(delay: float) -> None:
-    time.sleep(delay)  # R006: bare time.sleep in repro.dist
+    time.sleep(delay)  # R006: bare time.sleep under src/repro
 
 
 def stall(delay: float) -> None:
@@ -14,4 +14,4 @@ def stall(delay: float) -> None:
 
 
 async def supervise_tick(interval: float) -> None:
-    await asyncio.sleep(interval)  # R006: bare asyncio.sleep in repro.dist
+    await asyncio.sleep(interval)  # R006: bare asyncio.sleep under src/repro

@@ -89,6 +89,25 @@ class TestFixtures:
         path.write_text("MANIFEST_FORMAT_VERSION = 1\n", encoding="utf-8")
         assert run_lint([tmp_path]) == []
 
+    @pytest.mark.parametrize(
+        "relative,source,flagged",
+        [
+            ("sim/pacer.py", "import time\ntime.sleep(0.1)\n", True),
+            ("store/pacer.py", "import asyncio\nasyncio.sleep(0.1)\n", True),
+            ("pacer.py", "from time import sleep\n", True),
+            ("devtools/pacer.py", "import time\ntime.sleep(0.1)\n", False),
+            ("benchmarks/pacer.py", "import time\ntime.sleep(0.1)\n", False),
+        ],
+    )
+    def test_r006_applies_everywhere_but_devtools_and_benchmarks(
+        self, tmp_path, relative, source, flagged
+    ):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+        rule_ids = [d.rule_id for d in run_lint([tmp_path])]
+        assert rule_ids == (["R006"] if flagged else [])
+
 
 class TestRealTree:
     def test_source_tree_lints_clean(self):

@@ -7,10 +7,11 @@ Three layers:
   the scenario's machine-checkable safety properties
   (:mod:`invariants`), non-vacuously (the headline protocol-note kind
   must actually appear somewhere in the study).
-* **Differential** — the four base scenarios run under
-  {serial, process-pool, distributed} × {jsonl, columnar} and every
-  combination must be bit-identical to the serial/jsonl reference: same
-  store fingerprint, same per-experiment payloads, same measure values —
+* **Differential** — the four base scenarios run under {serial,
+  process-pool with default chunks, process-pool with one experiment per
+  chunk} × {jsonl, columnar} and every combination must be
+  bit-identical to the serial/jsonl reference: same store fingerprint,
+  same per-experiment payloads, same measure values —
   and the invariants are replayed from the *store-loaded* records, so
   the structured protocol notes provably survive both codecs and every
   process boundary.
@@ -34,7 +35,7 @@ from invariants import (
     violations_for_experiment,
 )
 from repro.core.campaign import CampaignConfig
-from repro.core.execution import DISTRIBUTED, ExecutionConfig, available_backends
+from repro.core.execution import PROCESS_POOL, ExecutionConfig, available_backends
 from repro.pipeline import run_and_analyze
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.store import CampaignStore, result_to_dict
@@ -54,8 +55,8 @@ PROTOCOL_SCENARIOS = tuple(SCENARIO_INVARIANTS)
 BASE_SCENARIOS = ("raft-election", "quorum-register", "swim-detector", "dfs-master")
 
 needs_fork = pytest.mark.skipif(
-    DISTRIBUTED not in available_backends(),
-    reason="process-pool/distributed backends need the fork start method",
+    PROCESS_POOL not in available_backends(),
+    reason="the process-pool backend needs the fork start method",
 )
 
 
@@ -238,7 +239,7 @@ def test_backends_and_codecs_are_bit_identical(scenario_name, tmp_path):
     executions = {
         "serial": ExecutionConfig(),
         "pool": ExecutionConfig.process_pool(workers=2),
-        "distributed": ExecutionConfig.distributed(workers=2, chunk_size=1),
+        "pool-chunk1": ExecutionConfig.process_pool(workers=2, chunk_size=1),
     }
     reference = _run_combination(
         scenario_name, tmp_path / "reference", "jsonl", executions["serial"]

@@ -5,8 +5,9 @@ Three layers, mirroring the README scenario-table check in
 
 * every fenced ``python`` code block in ``README.md`` and ``docs/*.md``
   must at least **compile** (the ``python -m compileall`` of the docs);
-* the README's runnable snippets (quickstart, persistence & resume) are
-  **executed** in a scratch directory and must run clean;
+* the README's runnable snippets (quickstart, protocol notes, partition,
+  fault tolerance, persistence & resume) are **executed**, each once, in a
+  scratch directory and must run clean;
 * the prose is spot-checked for the contracts it promises (the quickstart
   must mention the ``store=`` parameter, the architecture tour must cover
   every phase module).
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.execution import DISTRIBUTED, PROCESS_POOL, available_backends
+from repro.core.execution import PROCESS_POOL, available_backends
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -80,27 +81,28 @@ class TestReadmeSnippetsRun:
         exec(compile(code, "README.md", "exec"), namespace)
         return namespace
 
+    # Each marker names exactly one README block (by its campaign name),
+    # so every runnable snippet executes once per suite run.
     @pytest.mark.parametrize(
         "marker",
         [
-            "run_and_analyze(campaign",
-            "CampaignStore(",
-            "ExecutionConfig.distributed(",
-            "notes_of_kind(",
+            'name="demo"',
+            'name="persistent-demo"',
+            'name="fault-tolerant-demo"',
+            'name="protocol-demo"',
+            'name="partition-demo"',
         ],
-        ids=["quickstart", "persistence", "distributed", "protocol"],
+        ids=["quickstart", "persistence", "fault-tolerance", "protocol", "partition"],
     )
     def test_snippet_executes(self, marker, tmp_path, monkeypatch):
         snippets = [
             code for _, code in extract_code_blocks(README) if marker in code
         ]
-        assert snippets, f"README lost its {marker!r} snippet"
-        for code in snippets:
-            if "process_pool" in code and PROCESS_POOL not in available_backends():
-                pytest.skip("snippet needs the fork start method")
-            if "distributed(" in code and DISTRIBUTED not in available_backends():
-                pytest.skip("snippet needs the fork start method")
-            self.run_snippet(code, tmp_path, monkeypatch)
+        assert len(snippets) == 1, f"README has {len(snippets)} {marker!r} snippets, not 1"
+        (code,) = snippets
+        if "process_pool" in code and PROCESS_POOL not in available_backends():
+            pytest.skip("snippet needs the fork start method")
+        self.run_snippet(code, tmp_path, monkeypatch)
 
 
 class TestDocContracts:
@@ -153,7 +155,6 @@ class TestDocContracts:
             "repro.analysis",
             "repro.measures",
             "repro.store",
-            "repro.dist",
             "scenarios",
         ):
             assert module in text, f"architecture tour does not mention {module}"

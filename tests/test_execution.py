@@ -1,6 +1,9 @@
 """Tests of the campaign execution engine and the seed-derivation contract."""
 
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.toggle import build_toggle_study
 from repro.core.campaign import (
@@ -101,9 +104,43 @@ class TestExecutionConfig:
         assert config.resolved_workers() == 3
         assert isinstance(build_executor(config), ProcessPoolExecutor)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(RuntimeConfigurationError):
-            ExecutionConfig(backend="gpu")
+    @pytest.mark.parametrize("backend", ["gpu", "distributed"])
+    def test_unknown_backend_rejected(self, backend):
+        with pytest.raises(RuntimeConfigurationError, match="unknown execution backend"):
+            ExecutionConfig(backend=backend)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"max_retries": -1}, "max_retries"),
+            ({"retry_backoff_base_s": 0.0}, "backoff"),
+            ({"retry_backoff_base_s": -0.5}, "backoff"),
+        ],
+    )
+    def test_retry_knob_validation(self, kwargs, match):
+        with pytest.raises(RuntimeConfigurationError, match=match):
+            ExecutionConfig(**kwargs)
+
+    def test_retry_knobs_participate_in_config_equality(self):
+        assert ExecutionConfig(max_retries=1) != ExecutionConfig(max_retries=2)
+        assert ExecutionConfig(retry_backoff_base_s=0.1) != ExecutionConfig(
+            retry_backoff_base_s=0.2
+        )
+        assert ExecutionConfig(max_retries=3) == ExecutionConfig(max_retries=3)
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        # Pinned to one CPU (taskset, a cpuset): one worker, however many
+        # CPUs the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ExecutionConfig().resolved_workers() == 1
+
+    def test_default_workers_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert ExecutionConfig().resolved_workers() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ExecutionConfig().resolved_workers() == 1
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(RuntimeConfigurationError):
@@ -457,3 +494,375 @@ class TestPoolCrashRecovery:
             CampaignStore(tmp_path / "d").content_fingerprint()
             == CampaignStore(tmp_path / "s").content_fingerprint()
         )
+
+    @pytest.mark.parametrize("raiser", ["progress", "store"])
+    def test_raising_sink_shuts_the_pool_down(self, raiser, tmp_path):
+        import multiprocessing
+
+        from repro.store import CampaignStore
+
+        class CoordinatorKilled(RuntimeError):
+            pass
+
+        def die_at_first_completion(*args):
+            raise CoordinatorKilled()
+
+        class DyingStore(CampaignStore):
+            append = die_at_first_completion
+
+        campaign = build_campaign(experiments=6)
+        config = ExecutionConfig.process_pool(
+            workers=2, chunk_size=1,
+            progress=die_at_first_completion if raiser == "progress" else None,
+        )
+        store = DyingStore(tmp_path / "s") if raiser == "store" else None
+        with pytest.raises(CoordinatorKilled) as info:
+            build_executor(config).run_and_analyze(campaign, store=store)
+        # The traceback (kept alive by ``info``) references the run's
+        # frames; the pool must be gone anyway, not computing the rest of
+        # the campaign until garbage collection.
+        assert info.traceback
+        assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# Pool equivalence: shapes, stores, progress
+# ---------------------------------------------------------------------------
+
+
+def build_sized_campaign(sizes) -> CampaignConfig:
+    studies = [
+        build_toggle_study(
+            f"s{study_index}", dwell_time=0.02, timeslice=0.002, cycles=3,
+            experiments=size, seed=100 + study_index,
+        )
+        for study_index, size in enumerate(sizes)
+    ]
+    return CampaignConfig(name="shape-test", studies=studies)
+
+
+def identities_of(result):
+    return {
+        name: [(e.index, e.seed, e.completed) for e in study.experiments]
+        for name, study in result.studies.items()
+    }
+
+
+def observer_records_of(result):
+    return {
+        name: [
+            [(r.kind, r.time) for r in e.local_timelines["observer"].records]
+            for e in study.experiments
+        ]
+        for name, study in result.studies.items()
+    }
+
+
+@needs_pool
+class TestPoolEquivalence:
+    #: (study sizes, workers, chunk size): one chunk, one experiment per
+    #: chunk, ragged tails, chunks larger than a study, more workers than
+    #: chunks, and the default heuristic.
+    SHAPES = (
+        ((1,), 1, None),
+        ((7,), 2, 3),
+        ((8,), 1, 8),
+        ((5, 5), 2, 2),
+        ((3, 1, 9), 2, 4),
+        ((2, 2, 2, 2), 3, 1),
+        ((20,), 2, None),
+    )
+
+    @pytest.mark.parametrize("sizes,workers,chunk_size", SHAPES)
+    def test_every_experiment_completes_exactly_once(self, sizes, workers, chunk_size):
+        campaign = build_sized_campaign(sizes)
+        events = []
+        config = ExecutionConfig.process_pool(
+            workers=workers, chunk_size=chunk_size,
+            progress=lambda *event: events.append(event),
+        )
+        pooled = run_campaign(campaign, config)
+        serial = run_campaign(campaign, ExecutionConfig.serial())
+        for study in campaign.studies:
+            done = [done for name, done, total in events if name == study.name]
+            assert done == list(range(1, study.experiments + 1))
+        assert identities_of(pooled) == identities_of(serial)
+
+    def test_store_streaming_matches_serial_store(self, tmp_path):
+        from repro.store import CampaignStore
+
+        campaign = build_campaign(experiments=3)
+        serial = run_and_analyze(
+            campaign, ExecutionConfig.serial(), store=CampaignStore(tmp_path / "s")
+        )
+        pooled = run_and_analyze(
+            campaign,
+            ExecutionConfig.process_pool(workers=2, chunk_size=2),
+            store=CampaignStore(tmp_path / "p"),
+        )
+        assert measure_values_of(pooled) == measure_values_of(serial)
+        pool_store = CampaignStore(tmp_path / "p")
+        assert (
+            pool_store.content_fingerprint()
+            == CampaignStore(tmp_path / "s").content_fingerprint()
+        )
+        reports = pool_store.verify()
+        assert all(report.valid == 3 and report.corrupt == 0 for report in reports.values())
+
+    def test_run_study_matches_serial(self):
+        study = build_toggle_study(
+            "lone", dwell_time=0.02, timeslice=0.002, cycles=3, experiments=3, seed=9,
+        )
+        serial = build_executor(ExecutionConfig.serial()).run_study(study)
+        pooled = build_executor(ExecutionConfig.process_pool(workers=2)).run_study(study)
+        assert [(e.index, e.seed, e.completed) for e in pooled.experiments] == [
+            (e.index, e.seed, e.completed) for e in serial.experiments
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Resume: a store with holes runs exactly the missing experiments
+# ---------------------------------------------------------------------------
+
+
+#: Which (study, experiment) records an earlier, interrupted run persisted.
+PERSISTED_SETS = {
+    "nothing": (),
+    "alpha-prefix": (("alpha", 0), ("alpha", 1)),
+    "alternating": (("alpha", 0), ("alpha", 2), ("beta", 1), ("beta", 3)),
+    "tails": (("alpha", 3), ("beta", 3)),
+    "one-whole-study": tuple(("beta", index) for index in range(4)),
+    "everything": tuple(
+        (name, index) for name in ("alpha", "beta") for index in range(4)
+    ),
+}
+
+
+@needs_pool
+@pytest.mark.parametrize("persisted", list(PERSISTED_SETS))
+def test_pool_resume_runs_exactly_the_missing_experiments(persisted, tmp_path):
+    from repro.store import CampaignStore
+
+    campaign = build_campaign(experiments=4)
+    serial_analysis = run_and_analyze(
+        campaign, ExecutionConfig.serial(), store=CampaignStore(tmp_path / "reference")
+    )
+    reference = CampaignStore(tmp_path / "reference")
+    # Write the earlier run's records through the public store API.
+    partial = CampaignStore(tmp_path / "partial")
+    partial.attach(campaign)
+    records = {
+        study.name: reference.resumable_records(study) for study in campaign.studies
+    }
+    for name, index in PERSISTED_SETS[persisted]:
+        partial.append(records[name][index])
+
+    events: list[tuple[str, int, int]] = []
+    config = ExecutionConfig.process_pool(
+        workers=2, chunk_size=1, progress=lambda *event: events.append(event)
+    )
+    resumed = build_executor(config).run_and_analyze(
+        campaign, store=CampaignStore(tmp_path / "partial")
+    )
+    for study in campaign.studies:
+        offset = sum(1 for name, _ in PERSISTED_SETS[persisted] if name == study.name)
+        done = [done for name, done, total in events if name == study.name]
+        assert done == list(range(offset + 1, study.experiments + 1))
+    assert seeds_of(resumed) == seeds_of(serial_analysis)
+    assert measure_values_of(resumed) == measure_values_of(serial_analysis)
+    healed = CampaignStore(tmp_path / "partial")
+    assert healed.content_fingerprint() == reference.content_fingerprint()
+    # Nothing persisted was run (and appended) a second time.
+    assert all(
+        report.valid == 4 and report.corrupt == 0 and report.superseded == 0
+        for report in healed.verify().values()
+    )
+
+
+@needs_pool
+def test_fully_resumed_pool_campaign_forks_nothing(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    from repro.store import CampaignStore
+
+    campaign = build_campaign(experiments=2)
+    serial = run_and_analyze(
+        campaign, ExecutionConfig.serial(), store=CampaignStore(tmp_path / "s")
+    )
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully resumed campaign started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    resumed = run_and_analyze(
+        campaign,
+        ExecutionConfig.process_pool(workers=2),
+        store=CampaignStore(tmp_path / "s"),
+    )
+    assert measure_values_of(resumed) == measure_values_of(serial)
+
+
+# ---------------------------------------------------------------------------
+# Pool crash recovery: schedules, loss reports, every entry point
+# ---------------------------------------------------------------------------
+
+
+@needs_pool
+class TestPoolRetryBudget:
+    @pytest.mark.parametrize(
+        "base,max_retries,expected",
+        [
+            (0.05, 1, [0.05]),
+            (0.5, 4, [0.5, 1.0, 2.0, 4.0]),
+            (2.0, 3, [2.0, 4.0, 5.0]),
+            (3.0, 2, [3.0, 5.0]),
+            (10.0, 2, [5.0, 5.0]),
+            (0.25, 0, []),
+        ],
+    )
+    def test_retry_schedule_and_warnings(self, base, max_retries, expected, monkeypatch):
+        import time
+        import warnings
+
+        from repro.errors import ExecutionInterrupted
+
+        delays: list[float] = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        config = ExecutionConfig.process_pool(
+            workers=2, max_retries=max_retries, retry_backoff_base_s=base
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExecutionInterrupted, match=f"after {max_retries} retries"):
+                build_executor(config).run_and_analyze(
+                    build_campaign(experiments=2), runner_class=AlwaysCrashingRunner
+                )
+        assert delays == expected
+        rebuilds = [str(w.message) for w in caught if "rebuilding the pool" in str(w.message)]
+        assert len(rebuilds) == max_retries
+        for attempt, message in enumerate(rebuilds, start=1):
+            assert f"retry {attempt} of {max_retries}" in message
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    def test_lost_experiments_are_exactly_the_unpersisted_ones(self, chunk_size, tmp_path):
+        from repro.errors import ExecutionInterrupted
+        from repro.store import CampaignStore
+
+        campaign = build_campaign(experiments=4)
+        config = ExecutionConfig.process_pool(
+            workers=2, chunk_size=chunk_size, max_retries=0, retry_backoff_base_s=0.01
+        )
+        with pytest.raises(ExecutionInterrupted) as info:
+            build_executor(config).run_campaign(
+                campaign,
+                runner_class=AlwaysCrashingRunner,
+                store=CampaignStore(tmp_path / "store"),
+            )
+        store = CampaignStore(tmp_path / "store")
+        persisted = {
+            (study.name, index)
+            for study in campaign.studies
+            for index in store.resumable_records(study)
+        }
+        lost = info.value.pending
+        everything = {
+            (study.name, index)
+            for study in campaign.studies
+            for index in range(study.experiments)
+        }
+        assert ("alpha", 1) in lost
+        assert len(lost) == len(set(lost))
+        assert not set(lost) & persisted
+        assert set(lost) | persisted == everything
+
+    def test_worker_dying_while_chunks_are_submitted_is_retried(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        import time
+
+        # Hold the coordinator after it hands out alpha:1's chunk until that
+        # worker has died, so the pool breaks under ``submit`` itself rather
+        # than under an already-submitted future.
+        original_submit = concurrent.futures.ProcessPoolExecutor.submit
+        submits = []
+
+        def submit_then_wait_for_the_crash(pool, *args, **kwargs):
+            future = original_submit(pool, *args, **kwargs)
+            submits.append(pool)
+            if len(submits) == 2:
+                deadline = time.monotonic() + 30
+                while not (tmp_path / "died").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.5)
+            return future
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "submit", submit_then_wait_for_the_crash
+        )
+        campaign = build_campaign(experiments=4)
+        serial = run_campaign(campaign, ExecutionConfig.serial())
+        SuicidalRunner.sentinel = str(tmp_path / "died")
+        config = ExecutionConfig.process_pool(
+            workers=2, chunk_size=1, max_retries=1, retry_backoff_base_s=0.01
+        )
+        with pytest.warns(UserWarning, match="rebuilding the pool"):
+            pooled = build_executor(config).run_campaign(
+                campaign, runner_class=SuicidalRunner
+            )
+        assert (tmp_path / "died").exists(), "chaos never fired"
+        # The first pool broke at its third submit, not under a future.
+        assert submits.count(submits[0]) == 2
+        assert identities_of(pooled) == identities_of(serial)
+        assert observer_records_of(pooled) == observer_records_of(serial)
+
+    @pytest.mark.parametrize(
+        "count,expected",
+        [
+            (1, "alpha:0"),
+            (5, "alpha:0, alpha:1, alpha:2, beta:0, beta:1"),
+            (6, "alpha:0, alpha:1, alpha:2, beta:0, beta:1, ... (+1 more)"),
+        ],
+    )
+    def test_loss_report_names_the_first_five(self, count, expected):
+        from repro.core.execution import _describe_tasks
+
+        campaign = build_campaign(experiments=3)
+        tasks = ProcessPoolExecutor._tasks(campaign)[:count]
+        assert _describe_tasks(campaign, tasks) == expected
+
+
+class TestForkUnavailable:
+    def test_only_the_serial_backend_is_offered(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert available_backends() == (SERIAL,)
+
+    def test_pool_run_is_refused_with_a_pointer_to_serial(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        config = ExecutionConfig.process_pool(workers=2)
+        with pytest.raises(RuntimeConfigurationError, match="'fork'.*serial backend"):
+            run_campaign(build_campaign(experiments=1), config)
+
+
+class TestExecutionConfigIdentity:
+    def test_progress_callback_is_not_part_of_equality(self):
+        assert ExecutionConfig(progress=print) == ExecutionConfig()
+
+    def test_config_is_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        with pytest.raises(FrozenInstanceError):
+            ExecutionConfig().max_retries = 5
+
+    @given(tasks=st.integers(min_value=0, max_value=5000), workers=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_default_chunking_gives_each_worker_four_to_eight_chunks(self, tasks, workers):
+        size = ExecutionConfig().resolved_chunk_size(tasks, workers)
+        assert size >= 1
+        chunks = -(-tasks // size)
+        if tasks >= 4 * workers:
+            assert 4 * workers <= chunks <= 8 * workers
+        else:
+            assert chunks == tasks
